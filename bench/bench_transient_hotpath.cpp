@@ -10,10 +10,10 @@
 // is tracked across PRs.
 //
 // Also sweeps N x N on-chip power grids (8x8 up to 100x100, ~10k MNA
-// unknowns) across the dense, banded, and sparse factorization kernels,
-// cross-checks the kernels agree to 1e-9 relative tolerance, and records the
-// dense -> sparse crossover (steps/s ratio at the largest grid dense can
-// still handle) into the same JSON.
+// unknowns) across the dense and banded factorization kernels, cross-checks
+// the kernels agree to 1e-9 relative tolerance, and records the dense ->
+// banded crossover (steps/s ratio at the largest grid dense can still
+// handle) into the same JSON.
 //
 // Usage: bench_transient_hotpath [--smoke] [output.json]
 //   --smoke  tiny sizes, min of two reps (used by the perf-smoke ctest label)
@@ -266,10 +266,10 @@ int main(int argc, char** argv) {
     all.emplace_back(s, std::move(points));
   }
 
-  // --- Grid-size sweep: dense vs banded vs sparse kernels on N x N on-chip
-  // power grids. Dense is capped at the largest size where an O(n^3) factor
-  // still completes in benchmark time; the sparse kernels run the full
-  // range, demonstrating the asymptotic crossover.
+  // --- Grid-size sweep: dense vs banded kernels on N x N on-chip power
+  // grids. Dense is capped at the largest size where an O(n^3) factor still
+  // completes in benchmark time; the banded kernel runs the full range,
+  // demonstrating the asymptotic crossover.
   const std::vector<int> grid_sizes = smoke ? std::vector<int>{8, 12}
                                             : std::vector<int>{8, 16, 32, 48, 64, 100};
   const int dense_cap_nx = smoke ? 12 : 48;
@@ -278,7 +278,7 @@ int main(int argc, char** argv) {
   double crossover_speedup = 0.0;
   int crossover_nx = 0;
 
-  std::printf("=== Grid-size sweep: dense vs banded vs sparse ===\n\n");
+  std::printf("=== Grid-size sweep: dense vs banded ===\n\n");
   for (const int nx : grid_sizes) {
     pdn::GridParams gp;
     gp.nx = gp.ny = nx;
@@ -290,15 +290,13 @@ int main(int argc, char** argv) {
     row.n_mna = static_cast<std::size_t>(ckt.mna_size());
 
     std::vector<std::pair<std::string, sparse::Kernel>> kernels = {
-        {"auto", sparse::Kernel::Auto},
-        {"banded", sparse::Kernel::Banded},
-        {"sparse", sparse::Kernel::Sparse}};
+        {"auto", sparse::Kernel::Auto}, {"banded", sparse::Kernel::Banded}};
     if (nx <= dense_cap_nx)
       kernels.insert(kernels.begin() + 1, {"dense", sparse::Kernel::Dense});
 
     std::vector<spice::TranResult> results;
     results.reserve(kernels.size());
-    double dense_sps = 0.0, best_sparse_sps = 0.0;
+    double dense_sps = 0.0, banded_sps = 0.0;
     for (const auto& [kname, kreq] : kernels) {
       spice::TranSpec spec;
       spec.tstop = 10e-9;
@@ -329,15 +327,14 @@ int main(int argc, char** argv) {
         }
       }
       if (kname == "dense") dense_sps = p.steps_per_s;
-      if (kname == "banded" || kname == "sparse")
-        best_sparse_sps = std::max(best_sparse_sps, p.steps_per_s);
+      if (kname == "banded") banded_sps = p.steps_per_s;
       results.push_back(std::move(res));
       row.points.push_back(std::move(p));
     }
-    if (dense_sps > 0.0 && best_sparse_sps > 0.0) {
+    if (dense_sps > 0.0 && banded_sps > 0.0) {
       // Track the crossover at the largest mutually-feasible size.
       crossover_nx = nx;
-      crossover_speedup = best_sparse_sps / dense_sps;
+      crossover_speedup = banded_sps / dense_sps;
     }
 
     TextTable table({"kernel", "selected", "steps", "wall", "steps/s", "factor nnz",
@@ -351,7 +348,7 @@ int main(int argc, char** argv) {
     grid_rows.push_back(std::move(row));
   }
   if (crossover_nx > 0)
-    std::printf("grid crossover: at %dx%d the best sparse kernel sustains %.1fx the dense "
+    std::printf("grid crossover: at %dx%d the banded kernel sustains %.1fx the dense "
                 "steps/s\n",
                 crossover_nx, crossover_nx, crossover_speedup);
 
@@ -404,7 +401,7 @@ int main(int argc, char** argv) {
   std::fprintf(f, "  ],\n");
   std::fprintf(f, "  \"grid_kernels_agree_1e-9\": %s,\n", grid_agree ? "true" : "false");
   std::fprintf(f, "  \"grid_crossover_nx\": %d,\n", crossover_nx);
-  std::fprintf(f, "  \"grid_crossover_sparse_vs_dense_steps_per_s\": %.3f,\n",
+  std::fprintf(f, "  \"grid_crossover_banded_vs_dense_steps_per_s\": %.3f,\n",
                crossover_speedup);
   std::fprintf(f, "  \"grid\": [\n");
   for (std::size_t gi = 0; gi < grid_rows.size(); ++gi) {

@@ -1,12 +1,12 @@
-// On-chip power-grid design space exploration with the sparse MNA kernel.
+// On-chip power-grid design space exploration with the banded MNA kernel.
 //
 // Sweeps bump pitch and decap budget over an N x M on-chip grid, runs a
 // step-load droop transient on each candidate, and reports worst-case droop
-// at the grid center together with the factorization kernel the structural
-// heuristic picked and the solver cost counters. A city-block-scale grid
+// at the grid center together with the factorization kernel the size/density
+// rule picked and the solver cost counters. A city-block-scale grid
 // (thousands of nodes) is tractable here precisely because the stamped MNA
-// system never goes through a dense matrix: the banded/sparse kernels factor
-// in near-linear time.
+// system never goes through a dense matrix: under an RCM ordering the banded
+// kernel only touches the O(sqrt(n))-wide band of the mesh.
 //
 // Build: cmake --build build --target grid_explorer
 // Run:   ./build/examples/grid_explorer [nx [ny]]

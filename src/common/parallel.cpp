@@ -24,7 +24,7 @@ thread_local bool t_in_region = false;
 // One fork-join batch: workers grab chunks of [0, n) until exhausted. The
 // batch lives on the submitting thread's stack, so `run` may not return
 // until every worker has both finished its indices *and* released its
-// pointer to the batch (`active` == 0).
+// pointer to the batch (`active` == 0, see `release`).
 struct Batch {
   const std::function<void(std::size_t)>* fn = nullptr;
   std::size_t n = 0;
@@ -59,6 +59,15 @@ struct Batch {
   void notify() {
     std::lock_guard<std::mutex> lock(done_mutex);
     done_cv.notify_all();
+  }
+
+  // A worker's last touch of the batch. The decrement and the wake-up both
+  // happen under done_mutex, so the caller (which checks complete() under
+  // the same mutex) cannot return and destroy the batch before this worker
+  // has let go of the mutex and condvar.
+  void release() {
+    std::lock_guard<std::mutex> lock(done_mutex);
+    if (active.fetch_sub(1, std::memory_order_acq_rel) == 1) done_cv.notify_all();
   }
 
   // Processes chunks until the index space is drained.
@@ -153,7 +162,7 @@ class ThreadPool {
                              std::chrono::steady_clock::now() - batch->published)
                              .count());
       batch->work();
-      if (batch->active.fetch_sub(1, std::memory_order_acq_rel) == 1) batch->notify();
+      batch->release();
     }
   }
 

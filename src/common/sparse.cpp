@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstring>
 #include <string>
 
 #include "common/fault.hpp"
@@ -15,7 +14,6 @@ const char* kernel_name(Kernel k) {
     case Kernel::Auto: return "auto";
     case Kernel::Dense: return "dense";
     case Kernel::Banded: return "banded";
-    case Kernel::Sparse: return "sparse";
   }
   return "unknown";
 }
@@ -184,69 +182,6 @@ int bandwidth_under(const CscMatrix& a, const std::vector<std::int32_t>& perm) {
   return bw;
 }
 
-// Greedy minimum-degree ordering on the symmetric fill graph (sorted-vector
-// clique merge). Deterministic: ties break toward the lower node id. Bails
-// out (empty result) if fill-graph storage exceeds `storage_cap` — the
-// caller falls back to the RCM order, whose fill is bounded by the band
-// profile.
-std::vector<std::int32_t> min_degree_order(std::vector<std::vector<std::int32_t>> adj,
-                                           std::size_t storage_cap) {
-  const std::size_t n = adj.size();
-  std::vector<std::int32_t> order;
-  order.reserve(n);
-  std::vector<char> dead(n, 0);
-  // Degree buckets: bucket[d] holds candidate nodes of (possibly stale)
-  // degree d; nodes are re-checked against their live degree when popped.
-  std::size_t storage = 0;
-  for (const auto& nb : adj) storage += nb.size();
-  std::vector<std::vector<std::int32_t>> bucket(n + 1);
-  for (std::size_t v = 0; v < n; ++v)
-    bucket[adj[v].size()].push_back(static_cast<std::int32_t>(v));
-  std::vector<std::int32_t> merged, tmp;
-  std::size_t d = 0;
-  while (order.size() < n) {
-    while (d <= n && bucket[d].empty()) ++d;
-    if (d > n) break;  // Defensive; every live node sits in some bucket.
-    // Lowest id among this bucket's live, degree-accurate entries.
-    std::int32_t v = -1;
-    auto& bk = bucket[d];
-    for (std::size_t i = 0; i < bk.size(); ++i) {
-      const std::int32_t u = bk[i];
-      if (!dead[static_cast<std::size_t>(u)] &&
-          adj[static_cast<std::size_t>(u)].size() == d && (v < 0 || u < v))
-        v = u;
-    }
-    if (v < 0) {
-      bk.clear();  // All entries stale or dead; d stays (lazy re-check).
-      d = 0;
-      continue;
-    }
-    dead[static_cast<std::size_t>(v)] = 1;
-    order.push_back(v);
-    // Merge v's neighbourhood into a clique.
-    const std::vector<std::int32_t> nv = std::move(adj[static_cast<std::size_t>(v)]);
-    adj[static_cast<std::size_t>(v)] = {};
-    for (const std::int32_t u : nv) {
-      if (dead[static_cast<std::size_t>(u)]) continue;
-      auto& au = adj[static_cast<std::size_t>(u)];
-      storage -= au.size();
-      merged.clear();
-      // au ∪ nv, minus u, v, and dead nodes.
-      tmp.clear();
-      std::set_union(au.begin(), au.end(), nv.begin(), nv.end(), std::back_inserter(tmp));
-      for (const std::int32_t w : tmp)
-        if (w != u && w != v && !dead[static_cast<std::size_t>(w)]) merged.push_back(w);
-      au = merged;
-      storage += au.size();
-      bucket[au.size()].push_back(u);
-      if (au.size() < d) d = au.size();
-    }
-    if (storage > storage_cap) return {};
-    d = 0;
-  }
-  return order;
-}
-
 }  // namespace
 
 // ---------------------------------------------------------------------------
@@ -263,34 +198,17 @@ std::shared_ptr<const Symbolic> analyze(const CscMatrix& a, Kernel request) {
   const double density =
       static_cast<double>(a.nnz()) / (static_cast<double>(a.n) * static_cast<double>(a.n));
   Kernel k = request;
-  if (k == Kernel::Auto && (a.n <= 48 || density >= 0.25)) {
+  if (k == Kernel::Auto) {
     // Small or genuinely dense systems: dense LU's constant factors win, and
     // the legacy byte-exact dense path is preserved for the converter-scale
-    // circuits every existing test and bench pins down.
-    k = Kernel::Dense;
+    // circuits every existing test and bench pins down. Everything larger is
+    // sparse enough that the RCM band profile bounds the fill.
+    k = a.n <= 48 || density >= 0.25 ? Kernel::Dense : Kernel::Banded;
   }
-  if (k == Kernel::Dense) {
-    sym->kernel = Kernel::Dense;
-    return sym;
-  }
-
-  const auto adj = symmetric_adjacency(a);
-  const std::vector<std::int32_t> rcm = rcm_order(adj);
-  const int bw = bandwidth_under(a, rcm);
-  sym->rcm_bandwidth = bw;
-
-  if (k == Kernel::Auto)
-    k = bw <= std::max<int>(8, static_cast<int>(a.n / 8)) ? Kernel::Banded : Kernel::Sparse;
-
   sym->kernel = k;
   if (k == Kernel::Banded) {
-    sym->perm = rcm;
-    sym->kl = sym->ku = bw;
-  } else {
-    // Fill-reducing column order; RCM fallback when the fill-graph merge
-    // exceeds its storage budget (profile fill is then the bound anyway).
-    std::vector<std::int32_t> md = min_degree_order(adj, 64 * (a.nnz() + a.n));
-    sym->colperm = md.empty() ? rcm : std::move(md);
+    sym->perm = rcm_order(symmetric_adjacency(a));
+    sym->kl = sym->ku = bandwidth_under(a, sym->perm);
   }
   return sym;
 }
@@ -405,183 +323,6 @@ void BandedLu::solve_into(const std::vector<double>& b, std::vector<double>& x) 
 }
 
 // ---------------------------------------------------------------------------
-// Gilbert-Peierls sparse LU
-// ---------------------------------------------------------------------------
-
-SparseLu::SparseLu(const CscMatrix& a, const std::vector<std::int32_t>& colperm)
-    : n_(a.n), pinv_(a.n, -1), q_(colperm) {
-  require(q_.size() == n_, "SparseLu: column order size mismatch");
-  const std::int32_t n = static_cast<std::int32_t>(n_);
-
-  // Columns of L and U built incrementally with ORIGINAL row indices for L
-  // (remapped to pivotal indices once factorization completes).
-  std::vector<std::vector<std::int32_t>> lcols_i(n_), ucols_i(n_);
-  std::vector<std::vector<double>> lcols_x(n_), ucols_x(n_);
-  d_.assign(n_, 0.0);
-
-  std::vector<double> x(n_, 0.0);
-  std::vector<std::int32_t> mark(n_, -1);
-  std::vector<std::int32_t> reach;       // Topological post-order (reversed).
-  std::vector<std::int32_t> stack, edge; // Iterative DFS state.
-  reach.reserve(64);
-
-  for (std::int32_t k = 0; k < n; ++k) {
-    const std::int32_t col = q_[static_cast<std::size_t>(k)];
-    reach.clear();
-    // DFS over the L-column DAG from the nonzero rows of A(:, col); nodes
-    // are original row indices, pivotal nodes expand to their L column.
-    for (std::int32_t t = a.col_ptr[static_cast<std::size_t>(col)];
-         t < a.col_ptr[static_cast<std::size_t>(col) + 1]; ++t) {
-      const std::int32_t r0 = a.row_ind[static_cast<std::size_t>(t)];
-      if (mark[static_cast<std::size_t>(r0)] == k) continue;
-      stack.assign(1, r0);
-      edge.assign(1, 0);
-      mark[static_cast<std::size_t>(r0)] = k;
-      while (!stack.empty()) {
-        const std::int32_t r = stack.back();
-        const std::int32_t pr = pinv_[static_cast<std::size_t>(r)];
-        const auto& children = pr >= 0 ? lcols_i[static_cast<std::size_t>(pr)] : lcols_i[0];
-        const std::int32_t nchild = pr >= 0 ? static_cast<std::int32_t>(children.size()) : 0;
-        bool descended = false;
-        while (edge.back() < nchild) {
-          const std::int32_t c = children[static_cast<std::size_t>(edge.back()++)];
-          if (mark[static_cast<std::size_t>(c)] != k) {
-            mark[static_cast<std::size_t>(c)] = k;
-            stack.push_back(c);
-            edge.push_back(0);
-            descended = true;
-            break;
-          }
-        }
-        if (!descended && !stack.empty() && stack.back() == r && edge.back() >= nchild) {
-          reach.push_back(r);
-          stack.pop_back();
-          edge.pop_back();
-        }
-      }
-    }
-    // reach is in post-order: reversed it is topological (parents first).
-    for (auto it = reach.begin(); it != reach.end(); ++it) x[static_cast<std::size_t>(*it)] = 0.0;
-    for (std::int32_t t = a.col_ptr[static_cast<std::size_t>(col)];
-         t < a.col_ptr[static_cast<std::size_t>(col) + 1]; ++t)
-      x[static_cast<std::size_t>(a.row_ind[static_cast<std::size_t>(t)])] =
-          a.val[static_cast<std::size_t>(t)];
-    for (auto it = reach.rbegin(); it != reach.rend(); ++it) {
-      const std::int32_t r = *it;
-      const std::int32_t pr = pinv_[static_cast<std::size_t>(r)];
-      if (pr < 0) continue;
-      const double xr = x[static_cast<std::size_t>(r)];
-      if (xr == 0.0) continue;
-      const auto& li = lcols_i[static_cast<std::size_t>(pr)];
-      const auto& lx = lcols_x[static_cast<std::size_t>(pr)];
-      for (std::size_t e = 0; e < li.size(); ++e)
-        x[static_cast<std::size_t>(li[e])] -= lx[e] * xr;
-    }
-
-    // Pivot: max |x| over non-pivotal rows, with diagonal preference — if the
-    // structural diagonal is within 1e-3 of the best it keeps the pivot, so
-    // same-pattern refactorizations see a stable row permutation.
-    std::int32_t prow = -1;
-    double best = 0.0;
-    for (auto it = reach.rbegin(); it != reach.rend(); ++it) {
-      const std::int32_t r = *it;
-      if (pinv_[static_cast<std::size_t>(r)] >= 0) continue;
-      const double v = std::fabs(x[static_cast<std::size_t>(r)]);
-      if (v > best) {
-        best = v;
-        prow = r;
-      }
-    }
-    if (mark[static_cast<std::size_t>(col)] == k && pinv_[static_cast<std::size_t>(col)] < 0 &&
-        std::fabs(x[static_cast<std::size_t>(col)]) >= 1e-3 * best)
-      prow = col;
-    if (prow < 0 || !(std::fabs(x[static_cast<std::size_t>(prow)]) >= 1e-300))
-      throw SingularMatrixError(
-          "SparseLu: singular or non-finite matrix (n=" + std::to_string(n_) +
-              ", pivot column " + std::to_string(col) + ")",
-          n_, static_cast<std::size_t>(col));
-
-    pinv_[static_cast<std::size_t>(prow)] = k;
-    const double pivot = x[static_cast<std::size_t>(prow)];
-    d_[static_cast<std::size_t>(k)] = pivot;
-    auto& ui = ucols_i[static_cast<std::size_t>(k)];
-    auto& ux = ucols_x[static_cast<std::size_t>(k)];
-    auto& li = lcols_i[static_cast<std::size_t>(k)];
-    auto& lx = lcols_x[static_cast<std::size_t>(k)];
-    for (auto it = reach.rbegin(); it != reach.rend(); ++it) {
-      const std::int32_t r = *it;
-      if (r == prow) continue;
-      const std::int32_t pr = pinv_[static_cast<std::size_t>(r)];
-      if (pr >= 0 && pr != k) {
-        ui.push_back(pr);
-        ux.push_back(x[static_cast<std::size_t>(r)]);
-      } else if (pr < 0) {
-        li.push_back(r);
-        lx.push_back(x[static_cast<std::size_t>(r)] / pivot);
-      }
-    }
-  }
-
-  // Flatten to CSC, remapping L's row indices to pivotal positions.
-  lp_.assign(n_ + 1, 0);
-  up_.assign(n_ + 1, 0);
-  std::size_t lnnz = 0, unnz = 0;
-  for (std::size_t k = 0; k < n_; ++k) {
-    lnnz += lcols_i[k].size();
-    unnz += ucols_i[k].size();
-  }
-  li_.reserve(lnnz);
-  lx_.reserve(lnnz);
-  ui_.reserve(unnz);
-  ux_.reserve(unnz);
-  for (std::size_t k = 0; k < n_; ++k) {
-    for (std::size_t e = 0; e < lcols_i[k].size(); ++e) {
-      li_.push_back(pinv_[static_cast<std::size_t>(lcols_i[k][e])]);
-      lx_.push_back(lcols_x[k][e]);
-    }
-    lp_[k + 1] = static_cast<std::int32_t>(li_.size());
-    ui_.insert(ui_.end(), ucols_i[k].begin(), ucols_i[k].end());
-    ux_.insert(ux_.end(), ucols_x[k].begin(), ucols_x[k].end());
-    up_[k + 1] = static_cast<std::int32_t>(ui_.size());
-  }
-}
-
-void SparseLu::solve_into(const std::vector<double>& b, std::vector<double>& x) const {
-  require(b.size() == n_, "SparseLu::solve_into: dimension mismatch");
-  require(&b != &x, "SparseLu::solve_into: b and x must not alias");
-  const double injected = fault::inject("lu_solve");
-  y_.resize(n_);
-  for (std::size_t r = 0; r < n_; ++r) y_[static_cast<std::size_t>(pinv_[r])] = b[r];
-  if (n_ > 0) y_[0] += injected;
-
-  const std::int32_t n = static_cast<std::int32_t>(n_);
-  for (std::int32_t k = 0; k < n; ++k) {
-    const double yk = y_[static_cast<std::size_t>(k)];
-    if (yk == 0.0) continue;
-    for (std::int32_t e = lp_[static_cast<std::size_t>(k)];
-         e < lp_[static_cast<std::size_t>(k) + 1]; ++e)
-      y_[static_cast<std::size_t>(li_[static_cast<std::size_t>(e)])] -=
-          lx_[static_cast<std::size_t>(e)] * yk;
-  }
-  for (std::int32_t k = n - 1; k >= 0; --k) {
-    const double xk = y_[static_cast<std::size_t>(k)] / d_[static_cast<std::size_t>(k)];
-    y_[static_cast<std::size_t>(k)] = xk;
-    if (xk == 0.0) continue;
-    for (std::int32_t e = up_[static_cast<std::size_t>(k)];
-         e < up_[static_cast<std::size_t>(k) + 1]; ++e)
-      y_[static_cast<std::size_t>(ui_[static_cast<std::size_t>(e)])] -=
-          ux_[static_cast<std::size_t>(e)] * xk;
-  }
-
-  x.resize(n_);
-  for (std::size_t k = 0; k < n_; ++k) x[static_cast<std::size_t>(q_[k])] = y_[k];
-  for (std::size_t i = 0; i < n_; ++i)
-    if (!std::isfinite(x[i]))
-      throw NonFiniteError("SparseLu::solve: non-finite solution component " +
-                           std::to_string(i) + " (ill-conditioned or non-finite system)");
-}
-
-// ---------------------------------------------------------------------------
 // Kernel dispatch
 // ---------------------------------------------------------------------------
 
@@ -606,22 +347,17 @@ MnaFactorization::MnaFactorization(const CscMatrix& a, std::shared_ptr<const Sym
     case Kernel::Banded:
       banded_.emplace(a, sym_->perm, sym_->kl, sym_->ku);
       break;
-    case Kernel::Sparse:
-      sparse_.emplace(a, sym_->colperm);
-      break;
   }
 }
 
 void MnaFactorization::solve_into(const std::vector<double>& b, std::vector<double>& x) const {
   if (dense_) dense_->solve_into(b, x);
-  else if (banded_) banded_->solve_into(b, x);
-  else sparse_->solve_into(b, x);
+  else banded_->solve_into(b, x);
 }
 
 std::size_t MnaFactorization::factor_nnz() const {
   if (dense_) return sym_->n * sym_->n;
-  if (banded_) return banded_->factor_nnz();
-  return sparse_->factor_nnz();
+  return banded_->factor_nnz();
 }
 
 }  // namespace ivory::sparse

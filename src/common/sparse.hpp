@@ -17,17 +17,14 @@
 //    to one stamped directly — the dense kernel reproduces the legacy path
 //    byte for byte).
 //  - analyze(): one-time structural analysis per sparsity pattern — kernel
-//    selection (density/bandwidth heuristic with an explicit override),
-//    reverse-Cuthill-McKee ordering for the banded kernel, minimum-degree
-//    ordering for the general sparse kernel. The returned Symbolic is
-//    immutable and shared (shared_ptr) across every numeric factorization
-//    with the same pattern, so a switch-state change refactorizes
-//    numerically without re-running symbolic analysis.
+//    selection (size/density rule with an explicit override) and the
+//    reverse-Cuthill-McKee ordering the banded kernel needs. The returned
+//    Symbolic is immutable and shared (shared_ptr) across every numeric
+//    factorization with the same pattern, so a switch-state change
+//    refactorizes numerically without re-running symbolic analysis.
 //  - BandedLu: LAPACK-style band-storage LU with partial pivoting
 //    (dgbtf2/dgbtrs shape). Inner elimination and substitution loops run
 //    over contiguous band columns — stride-1, SIMD-amenable.
-//  - SparseLu: left-looking Gilbert-Peierls LU with partial pivoting and
-//    diagonal preference, over a fill-reducing column order.
 //  - MnaFactorization: the kernel-dispatching factorization the transient
 //    LU cache stores; `solve_into` matches LuFactorization's contract.
 #pragma once
@@ -43,9 +40,9 @@
 
 namespace ivory::sparse {
 
-enum class Kernel { Auto, Dense, Banded, Sparse };
+enum class Kernel { Auto, Dense, Banded };
 
-/// Lower-case kernel name ("auto", "dense", "banded", "sparse").
+/// Lower-case kernel name ("auto", "dense", "banded").
 const char* kernel_name(Kernel k);
 
 /// Triplet (COO) accumulator for MNA stamping. `add` appends; duplicates are
@@ -100,7 +97,7 @@ struct CscMatrix {
 void compress(const SparseStamp& s, CscMatrix& out);
 
 /// Immutable structural analysis of one sparsity pattern: the selected
-/// kernel plus the orderings it needs. Shared across all numeric
+/// kernel plus the ordering the banded kernel needs. Shared across all numeric
 /// factorizations with the same pattern (the symbolic/numeric split).
 struct Symbolic {
   Kernel kernel = Kernel::Dense;
@@ -112,23 +109,15 @@ struct Symbolic {
   /// bandwidths of the permuted matrix.
   std::vector<std::int32_t> perm;
   int kl = 0, ku = 0;
-
-  /// Sparse kernel: fill-reducing column order (colperm[k] = original
-  /// column eliminated at step k).
-  std::vector<std::int32_t> colperm;
-
-  /// RCM bandwidth observed during selection (0 when the dense shortcut
-  /// skipped the ordering work).
-  int rcm_bandwidth = 0;
 };
 
 /// One-time structural analysis. `request` = Kernel::Auto applies the
-/// density/bandwidth heuristic; any other value forces that kernel.
+/// size/density rule; any other value forces that kernel.
 ///
-/// Heuristic: dense for small or dense systems (n <= 48 or density >= 25%,
-/// where dense LU's constant factors win and the legacy byte-exact path is
-/// preserved); banded when the RCM bandwidth b satisfies b <= max(8, n/8)
-/// (covers PDN ladders and regular grids); general sparse otherwise.
+/// Rule: dense for small or dense systems (n <= 48 or density >= 25%, where
+/// dense LU's constant factors win and the legacy byte-exact path is
+/// preserved); banded under the RCM ordering otherwise (PDN ladders, regular
+/// grids, and any larger sparse circuit — the band profile bounds the fill).
 std::shared_ptr<const Symbolic> analyze(const CscMatrix& a, Kernel request);
 
 /// Band-storage LU with partial pivoting on the symmetrically permuted
@@ -154,35 +143,8 @@ class BandedLu {
   mutable std::vector<double> pb_;     ///< Permuted-RHS scratch.
 };
 
-/// Left-looking Gilbert-Peierls sparse LU with partial pivoting (diagonal
-/// preference with a relative threshold, so structurally dominant diagonals
-/// keep their pivot and the row permutation stays stable across same-pattern
-/// refactorizations).
-class SparseLu {
- public:
-  SparseLu(const CscMatrix& a, const std::vector<std::int32_t>& colperm);
-
-  void solve_into(const std::vector<double>& b, std::vector<double>& x) const;
-
-  /// nnz(L) + nnz(U) + n diagonal entries: the fill-in the ordering bought.
-  std::size_t factor_nnz() const { return li_.size() + ui_.size() + n_; }
-
- private:
-  std::size_t n_ = 0;
-  // L (strictly lower, unit diagonal) and U (strictly upper) in CSC over
-  // pivotal indices; d_ is the diagonal of U.
-  std::vector<std::int32_t> lp_, li_;
-  std::vector<double> lx_;
-  std::vector<std::int32_t> up_, ui_;
-  std::vector<double> ux_;
-  std::vector<double> d_;
-  std::vector<std::int32_t> pinv_;     ///< original row -> pivotal position.
-  std::vector<std::int32_t> q_;        ///< colperm[k] = original column.
-  mutable std::vector<double> y_;      ///< Solve scratch.
-};
-
-/// Kernel-dispatching factorization: dense LuFactorization, BandedLu, or
-/// SparseLu per the shared Symbolic. This is what the transient keyed LU
+/// Kernel-dispatching factorization: dense LuFactorization or BandedLu per
+/// the shared Symbolic. This is what the transient keyed LU
 /// cache stores; `solve_into` has the same contract as LuFactorization's.
 class MnaFactorization {
  public:
@@ -204,7 +166,6 @@ class MnaFactorization {
   std::shared_ptr<const Symbolic> sym_;
   std::optional<LuFactorization<double>> dense_;
   std::optional<BandedLu> banded_;
-  std::optional<SparseLu> sparse_;
 };
 
 }  // namespace ivory::sparse

@@ -551,9 +551,8 @@ TransientParams transient_params(const json::Value& body) {
     p.lu_cache_capacity = r.integer("lu_cache", p.lu_cache_capacity);
     if (p.lu_cache_capacity < 0) r.fail("lu_cache", "must be >= 0");
     p.kernel = r.str("kernel", p.kernel);
-    if (p.kernel != "auto" && p.kernel != "dense" && p.kernel != "banded" &&
-        p.kernel != "sparse")
-      r.fail("kernel", "expected auto | dense | banded | sparse");
+    if (p.kernel != "auto" && p.kernel != "dense" && p.kernel != "banded")
+      r.fail("kernel", "expected auto | dense | banded");
     p.return_waveform = r.boolean("return_waveform", false);
     r.finish();
     return p;

@@ -207,7 +207,7 @@ struct TransientParams {
   double dv_max_v = 1e-3;
   double dt_max_s = 0.0;
   int lu_cache_capacity = 8;              ///< See spice::TranSpec.
-  /// Factorization kernel: "auto" (default) | "dense" | "banded" | "sparse".
+  /// Factorization kernel: "auto" (default) | "dense" | "banded".
   std::string kernel = "auto";
 };
 TransientParams transient_params(const json::Value& body);

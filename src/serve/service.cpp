@@ -107,7 +107,6 @@ SpicePrep prepare_spice(const TransientParams& p, std::size_t max_samples) {
   sp.spec.lu_cache_capacity = p.lu_cache_capacity;
   sp.spec.kernel = p.kernel == "dense"    ? sparse::Kernel::Dense
                    : p.kernel == "banded" ? sparse::Kernel::Banded
-                   : p.kernel == "sparse" ? sparse::Kernel::Sparse
                                           : sparse::Kernel::Auto;
   for (const std::string& name : p.record_nodes)
     sp.spec.record_nodes.push_back(sp.ckt.find_node(name));

@@ -467,7 +467,7 @@ TranResult transient(const Circuit& c, const TranSpec& spec) {
 
   // Sparse stamping state, hoisted: the triplet accumulator and CSC buffer
   // reuse their storage across refactorizations, and the structural analysis
-  // (kernel choice + orderings) is computed once per sparsity pattern and
+  // (kernel choice + ordering) is computed once per sparsity pattern and
   // shared across every same-pattern numeric factorization — switch-state
   // and step-size changes move matrix values, never positions.
   sparse::SparseStamp stamp(static_cast<std::size_t>(size));
@@ -509,9 +509,20 @@ TranResult transient(const Circuit& c, const TranSpec& spec) {
         if (e > t + h_floor && e < t + h) h = e - t;
       }
     }
-    if (t + h > spec.tstop) h = spec.tstop - t;
+    bool final_step = false;
+    if (t + h > spec.tstop) {
+      // A remainder that differs from h only by the rounding t has picked up
+      // (at most half an ULP of tstop per step taken, plus tstop's own) keeps
+      // h: the step then reuses its factorization instead of refactorizing
+      // for a low-bit difference. Either way the sample lands on tstop.
+      const double rest = spec.tstop - t;
+      const double residue = static_cast<double>(step_index + 2) *
+                             std::numeric_limits<double>::epsilon() * spec.tstop;
+      if (h - rest > residue) h = rest;
+      final_step = true;
+    }
     if (h < spec.dt * 1e-6) break;  // Reached tstop up to floating-point residue.
-    const double tm = t + h;
+    const double tm = final_step ? spec.tstop : t + h;
 
     // Switch states for this step: time switches sampled at the midpoint
     // (steps land on edges, so the midpoint is inside a single phase);
@@ -680,7 +691,7 @@ TranResult transient(const Circuit& c, const TranSpec& spec) {
     metrics::registry()
         .gauge("spice.tran.max_resident_factorizations")
         .set_max(static_cast<std::int64_t>(res.max_resident_factorizations));
-    // Sparse-kernel observability: per-kernel factorization/solve counts, the
+    // Kernel observability: per-kernel factorization/solve counts, the
     // symbolic-analysis count (reuse means this stays at runs, not
     // factorizations), and the fill-in high-water mark.
     // The kernel names are a closed set, so the registry lookups are
@@ -695,13 +706,10 @@ TranResult transient(const Circuit& c, const TranSpec& spec) {
                               metrics::registry().counter("ivory.lu.dense.solves")};
       static LuCounters banded{metrics::registry().counter("ivory.lu.banded.factorizations"),
                                metrics::registry().counter("ivory.lu.banded.solves")};
-      static LuCounters sparse_lu{metrics::registry().counter("ivory.lu.sparse.factorizations"),
-                                  metrics::registry().counter("ivory.lu.sparse.solves")};
       static metrics::Counter& symbolic =
           metrics::registry().counter("ivory.lu.symbolic_analyses");
       static metrics::Gauge& fill = metrics::registry().gauge("ivory.lu.fill_nnz");
-      LuCounters& by_kernel =
-          res.kernel == "banded" ? banded : res.kernel == "sparse" ? sparse_lu : dense;
+      LuCounters& by_kernel = res.kernel == "banded" ? banded : dense;
       by_kernel.factorizations.add(res.lu_factorizations);
       by_kernel.solves.add(res.steps_taken);
       symbolic.add(res.symbolic_analyses);

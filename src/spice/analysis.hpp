@@ -33,7 +33,7 @@ struct DcResult {
 /// Computes the DC operating point: capacitors open, inductors short,
 /// time-controlled switches at their t = 0 state, voltage-controlled switches
 /// resolved by fixed-point iteration. `kernel` selects the factorization
-/// kernel (Auto = density/bandwidth heuristic).
+/// kernel (Auto = size/density rule, see sparse::analyze).
 DcResult dc_operating_point(const Circuit& circuit,
                             sparse::Kernel kernel = sparse::Kernel::Auto);
 
@@ -73,10 +73,10 @@ struct TranSpec {
   /// hit replays the exact factorization the same matrix would produce.
   int lu_cache_capacity = 8;
 
-  /// Factorization kernel. Auto picks from the stamped structure
-  /// (density/bandwidth heuristic, see sparse::analyze): small or dense
-  /// systems keep the legacy dense LU byte for byte, PDN ladders and regular
-  /// grids go banded, irregular large systems go general sparse. Any other
+  /// Factorization kernel. Auto picks from the stamped structure (size/
+  /// density rule, see sparse::analyze): small or dense systems keep the
+  /// legacy dense LU byte for byte; everything larger (PDN ladders, regular
+  /// grids, irregular circuits) goes banded under an RCM ordering. Any other
   /// value forces that kernel.
   sparse::Kernel kernel = sparse::Kernel::Auto;
 
@@ -106,12 +106,12 @@ struct TranResult {
   std::size_t lu_cache_evictions = 0;
   std::size_t max_resident_factorizations = 0;
 
-  // Sparse-kernel observability. `kernel` is the selected factorization
-  // kernel ("dense" / "banded" / "sparse"); `symbolic_analyses` counts
+  // Kernel observability. `kernel` is the selected factorization kernel
+  // ("dense" / "banded"); `symbolic_analyses` counts
   // structural analyses performed (1 per run when the pattern is stable —
   // switch-state changes refactorize numerically without re-running
   // symbolic); `factor_nnz` is the stored factor's nonzero footprint
-  // (n^2 dense, band storage banded, nnz(L)+nnz(U)+n sparse).
+  // (n^2 dense, band storage banded).
   std::string kernel;
   std::size_t symbolic_analyses = 0;
   std::size_t factor_nnz = 0;

@@ -7,6 +7,7 @@
 #include <array>
 #include <cstdio>
 #include <cstdlib>
+#include <fstream>
 #include <string>
 
 #ifndef IVORY_CLI_BIN
@@ -64,6 +65,20 @@ TEST(CliUsage, DanglingFlagValueExits2) {
   const RunResult r = run_cli("sc --n", "2>&1 1>/dev/null");
   EXPECT_EQ(r.exit_code, 2);
   EXPECT_NE(r.output.find("every flag needs a value"), std::string::npos);
+}
+
+TEST(CliUsage, UnknownTransientKernelExits2) {
+  // The general sparse kernel is gone: --kernel sparse is a usage error that
+  // names the remaining kernels, never a silent fallback to auto.
+  const std::string netlist = ::testing::TempDir() + "cli_usage_rc.sp";
+  std::ofstream(netlist) << "vin in 0 DC 1\nr1 in out 1k\nc1 out 0 1n\n.end\n";
+  const RunResult r = run_cli("transient --netlist " + netlist +
+                                  " --tstop 1e-8 --dt 1e-9 --kernel sparse",
+                              "2>&1 1>/dev/null");
+  std::remove(netlist.c_str());
+  EXPECT_EQ(r.exit_code, 2);
+  EXPECT_NE(r.output.find("unknown --kernel 'sparse' (auto|dense|banded)"), std::string::npos)
+      << r.output;
 }
 
 TEST(CliUsage, RuntimeFailureExits1WithoutUsageSpam) {

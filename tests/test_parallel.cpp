@@ -3,6 +3,7 @@
 // byte-identical ordered results no matter how many threads run the sweep.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdlib>
 #include <cstring>
@@ -122,6 +123,23 @@ TEST(ThreadPool, EmptyAndSingleIndexLoops) {
   EXPECT_EQ(calls, 0);
   par::parallel_for(1, [&](std::size_t i) { calls += static_cast<int>(i) + 1; });
   EXPECT_EQ(calls, 1);
+  par::set_global_threads(1);
+}
+
+// Back-to-back short waves: each parallel_for's batch lives on the caller's
+// stack, and the next wave reuses that stack slot at once. A worker that
+// still touches a finished batch (its completion mutex/condvar) after the
+// caller has returned is a use-after-scope; ThreadSanitizer reports it as a
+// data race, and release builds abort in pthread_mutex_lock.
+TEST(ThreadPool, BackToBackWavesDoNotOutliveTheirBatch) {
+  par::set_global_threads(4);
+  const std::size_t tasks = std::max(2u, std::thread::hardware_concurrency());
+  std::atomic<std::size_t> sum{0};
+  constexpr std::size_t kWaves = 20000;
+  for (std::size_t w = 0; w < kWaves; ++w)
+    par::parallel_for(tasks,
+                      [&](std::size_t i) { sum.fetch_add(i + 1, std::memory_order_relaxed); });
+  EXPECT_EQ(sum.load(), kWaves * tasks * (tasks + 1) / 2);
   par::set_global_threads(1);
 }
 

@@ -629,6 +629,16 @@ TEST(Serve, SpiceTransientSchemaIsStrict) {
   EXPECT_FALSE(response_ok(bad_cap));
   EXPECT_NE(parsed(bad_cap).find("error")->find("detail")->as_string().find("lu_cache"),
             std::string::npos);
+  // Unknown kernel (the retired general sparse one): a named field error.
+  std::string sparse_req = spice_transient_request(8, 5);
+  sparse_req.insert(sparse_req.size() - 1, R"(,"kernel":"sparse")");
+  const std::string bad_kernel = svc.handle_line(sparse_req);
+  EXPECT_FALSE(response_ok(bad_kernel));
+  const std::string kernel_detail =
+      parsed(bad_kernel).find("error")->find("detail")->as_string();
+  EXPECT_NE(kernel_detail.find("kernel"), std::string::npos) << kernel_detail;
+  EXPECT_NE(kernel_detail.find("expected auto | dense | banded"), std::string::npos)
+      << kernel_detail;
   // Step budget: tstop/dt beyond max_samples must be rejected, not simulated.
   ServiceOptions tiny;
   tiny.max_samples = 100;

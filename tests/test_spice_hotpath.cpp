@@ -4,9 +4,12 @@
 // that is byte-identical at every cache capacity, including disabled.
 #include <gtest/gtest.h>
 
+#include <cstdlib>
 #include <cstring>
+#include <string>
 
 #include "common/error.hpp"
+#include "common/rng.hpp"
 #include "spice/parser.hpp"
 #include "spice/spice.hpp"
 
@@ -133,6 +136,60 @@ TEST(HotPath, ParsedSwitchNetlistMatchesProgrammaticCircuit) {
   ASSERT_EQ(a.time.size(), b.time.size());
   EXPECT_EQ(0, std::memcmp(a.voltages[0].data(), b.voltages[0].data(),
                            a.voltages[0].size() * sizeof(double)));
+}
+
+// Linear time-invariant RLC ladder: `stages` RC sections behind a series
+// RL input filter. Above 48 unknowns it factors banded, below it dense.
+Circuit lti_ladder(int stages) {
+  Circuit c;
+  const NodeId in = c.node("in");
+  const NodeId mid = c.node("mid");
+  c.add_vsource("vin", in, kGround, Waveform::dc(1.0));
+  c.add_resistor("rs", in, mid, 0.05);
+  NodeId prev = c.node("n0");
+  c.add_inductor("ls", mid, prev, 1e-9);
+  c.add_capacitor("c0", prev, kGround, 1e-9);
+  for (int i = 1; i < stages; ++i) {
+    const NodeId ni = c.node("n" + std::to_string(i));
+    c.add_resistor("r" + std::to_string(i), prev, ni, 0.1);
+    c.add_capacitor("c" + std::to_string(i), ni, kGround, 1e-10);
+    prev = ni;
+  }
+  c.add_isource("load", prev, kGround, Waveform::dc(0.02));
+  return c;
+}
+
+TEST(HotPath, LtiFixedStepFactorsOncePerIntegrator) {
+  // A fixed step on a linear time-invariant circuit sees one matrix per
+  // integrator: 1 factorization under backward Euler, 2 under trapezoidal
+  // (the backward-Euler start step, then the trapezoidal steps). The final
+  // step's remainder tstop - t carries the rounding t accumulated; it must
+  // not miss the cache. tstop is formed as steps * dt or parsed from its
+  // decimal spelling, as a netlist or CLI user writes it.
+  const Circuit small = lti_ladder(6);
+  const Circuit large = lti_ladder(60);
+  for (std::uint64_t seed = 1; seed <= 60; ++seed) {
+    Pcg32 rng(seed);
+    const unsigned steps = 2 + rng.next_u32() % 1500;
+    const unsigned mant = 1 + rng.next_u32() % 99;
+    const std::string exp = "e-" + std::to_string(10 + rng.next_u32() % 3);
+    TranSpec spec;
+    spec.dt = std::strtod((std::to_string(mant) + exp).c_str(), nullptr);
+    spec.tstop = rng.next_u32() % 2 == 0
+                     ? steps * spec.dt
+                     : std::strtod((std::to_string(steps * mant) + exp).c_str(), nullptr);
+    spec.record_nodes = {1};
+    for (const Circuit* c : {&small, &large})
+      for (const Integrator method : {Integrator::BackwardEuler, Integrator::Trapezoidal}) {
+        spec.method = method;
+        const TranResult res = transient(*c, spec);
+        const bool be = method == Integrator::BackwardEuler;
+        EXPECT_EQ(res.lu_factorizations, be ? 1u : 2u)
+            << "seed " << seed << ": steps=" << steps << " dt=" << mant << exp
+            << (be ? " be" : " trap") << " " << res.kernel;
+        EXPECT_EQ(res.steps_taken, steps) << "seed " << seed;
+      }
+  }
 }
 
 TEST(HotPath, InvalidCapacityThrows) {

@@ -496,8 +496,7 @@ int cmd_transient(const Args& a) {
   if (kernel == "auto") spec.kernel = sparse::Kernel::Auto;
   else if (kernel == "dense") spec.kernel = sparse::Kernel::Dense;
   else if (kernel == "banded") spec.kernel = sparse::Kernel::Banded;
-  else if (kernel == "sparse") spec.kernel = sparse::Kernel::Sparse;
-  else throw UsageError("unknown --kernel '" + kernel + "' (auto|dense|banded|sparse)");
+  else throw UsageError("unknown --kernel '" + kernel + "' (auto|dense|banded)");
   const std::string record = a.str("record", "");
   for (std::size_t pos = 0; pos < record.size();) {
     const std::size_t comma = std::min(record.find(',', pos), record.size());
@@ -820,7 +819,7 @@ void usage() {
       "                  server-diurnal)\n"
       "  ivory transient --netlist FILE --tstop s --dt s [--method trap|be --uic 1\n"
       "                  --record n1,n2 --record-every N --adaptive 1 --dv-max V\n"
-      "                  --dt-max s --lu-cache N --kernel auto|dense|banded|sparse\n"
+      "                  --dt-max s --lu-cache N --kernel auto|dense|banded\n"
       "                  --encoding wave1 --chunk-bytes N]\n"
       "                  (cost counters on stderr; --encoding wave1 streams raw\n"
       "                  binary waveform frames on stdout)\n"
